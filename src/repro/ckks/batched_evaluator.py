@@ -91,11 +91,23 @@ class BatchedEvaluator:
             context, key_switcher=self.evaluator.key_switcher)
 
     # ------------------------------------------------------------------
-    # HADD: B independent additions, one Ele-Add launch per component
+    # HADD / subtraction: B independent pairs, one launch per component
     # ------------------------------------------------------------------
     def add(self, lhs_streams: Sequence[Ciphertext],
             rhs_streams: Sequence[Ciphertext]) -> List[Ciphertext]:
         """Batched HADD: element-wise addition of ``B`` independent pairs."""
+        return self._pairwise(lhs_streams, rhs_streams, mat_mod_add,
+                              KernelName.ELE_ADD)
+
+    def subtract(self, lhs_streams: Sequence[Ciphertext],
+                 rhs_streams: Sequence[Ciphertext]) -> List[Ciphertext]:
+        """Batched element-wise subtraction of ``B`` independent pairs."""
+        return self._pairwise(lhs_streams, rhs_streams, mat_mod_sub,
+                              KernelName.ELE_SUB)
+
+    def _pairwise(self, lhs_streams: Sequence[Ciphertext],
+                  rhs_streams: Sequence[Ciphertext], funnel,
+                  kernel: str) -> List[Ciphertext]:
         pairs = []
         for lhs, rhs in self._zipped(lhs_streams, rhs_streams):
             lhs, rhs = self.evaluator.align(lhs, rhs)
@@ -111,8 +123,8 @@ class BatchedEvaluator:
             for component in ("c0", "c1"):
                 left = self._stack([getattr(pairs[i][0], component) for i in indices])
                 right = self._stack([getattr(pairs[i][1], component) for i in indices])
-                fused = mat_mod_add(self._fuse(left), self._fuse(right), tiled)
-                self._record(KernelName.ELE_ADD, batch, limbs)
+                fused = funnel(self._fuse(left), self._fuse(right), tiled)
+                self._record(kernel, batch, limbs)
                 sums.append(fused.reshape(left.shape))
             for j, i in enumerate(indices):
                 lhs = pairs[i][0]
