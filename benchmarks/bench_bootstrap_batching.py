@@ -7,7 +7,8 @@ Two stages:
   dominate the pipeline.  A sparse band transform (diagonals 0, 1, 64,
   65 — one baby and one giant group, the structure of a radix-split DFT
   factor) runs two ways on the bandwidth-bound matrix engine: a
-  per-ciphertext :meth:`BsgsLinearTransform.apply` loop vs one
+  per-ciphertext :meth:`BsgsLinearTransform.apply` loop (the fused path
+  called once per stream at B=1) vs one
   :meth:`BsgsLinearTransform.apply_many` call, where every rotation is a
   B-fused key switch and every diagonal multiply one fused CMULT launch.
   The per-stream loop re-reads the ``L x N x N`` twiddle stack for every
@@ -16,10 +17,11 @@ Two stages:
 
 * **full pipeline, N=64** — ModRaise → CoeffToSlot → EvalMod →
   SlotToCoeff end-to-end through :meth:`Bootstrapper.bootstrap_many`
-  vs looping :meth:`Bootstrapper.bootstrap`, at the functional test
-  parameters (8 levels, shallow EvalMod).  Small-N wall-clock is
-  Python-overhead-bound, so this row documents the end-to-end shape and
-  the bit-parity of the full pipeline rather than carrying the gate.
+  vs looping :meth:`Bootstrapper.bootstrap` (its B=1 case), at the
+  functional test parameters (8 levels, shallow EvalMod).  Small-N
+  wall-clock is Python-overhead-bound, so this row documents the
+  end-to-end shape and the bit-parity of the full pipeline rather than
+  carrying the gate.
 
 Results print as a table and are written as JSON through
 ``bench_common.write_results`` so the speedups land in the tracked perf
@@ -34,7 +36,6 @@ import pytest
 from bench_common import best_of, write_results
 from repro.api import TensorFheContext
 from repro.ckks import CkksContext, CkksParameters, Encryptor, Evaluator, KeyGenerator
-from repro.ckks.batched_evaluator import BatchedEvaluator
 from repro.ckks.bootstrap import BootstrapConfig, BsgsLinearTransform
 from repro.perf import format_table
 
@@ -83,7 +84,7 @@ def bsgs_sweep():
         secret = keygen.generate_secret_key()
         encryptor = Encryptor(context, secret_key=secret)
         evaluator = Evaluator(context)
-        batched = BatchedEvaluator(context, evaluator=evaluator)
+        batched = evaluator.batched
         rng = np.random.default_rng(3)
         transform = BsgsLinearTransform(
             context, _band_matrix(context.slot_count, rng))

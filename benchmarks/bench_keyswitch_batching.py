@@ -4,8 +4,9 @@ Times the generalized key switch (paper Algorithm 1) — the most expensive
 CKKS primitive — two ways:
 
 * **per-stream loop** — one :meth:`KeySwitcher.switch` call per
-  ciphertext, the launch pattern the B-axis fusion PR replaced (each call
-  is already limb-batched, so this is the strongest sequential baseline);
+  ciphertext, i.e. the fused path called once per stream at B=1 (each
+  call is already limb-batched, so this is the strongest per-stream
+  baseline);
 * **B-fused** — one :meth:`BatchedKeySwitcher.switch_many` call: the dnum
   decomposition of every stream stacks into a ``(B, dnum, L, N)`` tensor,
   ModUp/ModDown run batched Conv GEMMs, all ``B * dnum`` NTTs are a single
@@ -32,7 +33,6 @@ import pytest
 from bench_common import best_of, write_results
 from repro.ckks import CkksContext, CkksParameters, KeyGenerator
 from repro.ckks.batched_keyswitch import BatchedKeySwitcher
-from repro.ckks.keyswitch import KeySwitcher
 from repro.perf import format_table
 from repro.rns import RnsPolynomial
 
@@ -72,16 +72,13 @@ def sweep():
         rng = np.random.default_rng(3)
         polys = [RnsPolynomial.random_uniform(ring_degree, moduli, rng)
                  for _ in range(batch)]
-        sequential_switcher = KeySwitcher(context)
-        fused_switcher = BatchedKeySwitcher(
-            context, key_switcher=sequential_switcher)
+        switcher = BatchedKeySwitcher(context)
 
         def per_stream():
-            return [sequential_switcher.switch(poly, relin_key, level)
-                    for poly in polys]
+            return [switcher.switch(poly, relin_key, level) for poly in polys]
 
         def fused():
-            return fused_switcher.switch_many(polys, relin_key, level)
+            return switcher.switch_many(polys, relin_key, level)
 
         # Warm-up: build twiddle stacks and verify bit-exact parity.
         reference = per_stream()

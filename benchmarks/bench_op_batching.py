@@ -25,8 +25,9 @@ with a no-cliff floor at smaller batches, where the loop's cache
 residency still competes.
 
 The evaluator-level comparison runs batched CMULT streams through
-``BatchedEvaluator`` against a sequential ``Evaluator`` loop on the
-matrix engine, where transform cost dominates.
+``BatchedEvaluator`` against a per-stream ``Evaluator`` loop (the fused
+path called once per stream at B=1) on the matrix engine, where
+transform cost dominates.
 
 Results print as a table and are written as JSON through
 ``bench_common.write_results`` so the speedups land in the tracked perf

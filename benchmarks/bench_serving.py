@@ -3,9 +3,10 @@
 Times the encrypted-op request stream two ways at N=4096 on the blas
 backend:
 
-* **sequential loop** — every request executed one at a time through the
-  sequential :class:`~repro.ckks.evaluator.Evaluator`, the strongest
-  per-request baseline (each call is already limb-batched);
+* **sequential loop** — every request executed one at a time through
+  :class:`~repro.ckks.evaluator.Evaluator`, i.e. the fused path called
+  once per request at B=1, the strongest per-request baseline (each call
+  is already limb-batched);
 * **serving engine** — the same requests submitted by concurrent asyncio
   clients; the :class:`~repro.serving.engine.ServingEngine` coalesces
   each round into B-fused :class:`~repro.ckks.batched_evaluator.

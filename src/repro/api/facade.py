@@ -17,7 +17,6 @@ import numpy as np
 from ..backend.base import ArrayBackend
 from ..backend.registry import resolve_backend
 from ..batching.scheduler import BatchPlan, BatchScheduler
-from ..ckks.batched_evaluator import BatchedEvaluator
 from ..ckks.bootstrap import BootstrapConfig, Bootstrapper
 from ..ckks.ciphertext import Ciphertext, Plaintext
 from ..ckks.context import CkksContext
@@ -52,12 +51,12 @@ class TensorFheContext:
         self.encryptor = Encryptor(self.context, self.public_key, self.secret_key)
         self.decryptor = Decryptor(self.context, self.secret_key)
         self.evaluator = Evaluator(self.context)
+        # One fused pipeline serves both views, so one set of caches exists.
+        self.batched_evaluator = self.evaluator.batched
         # The scheduler sizes fused batches for the same compute backend
         # the context launches on; a sharded backend multiplies the plan
         # by its worker fan-out so serving traffic fills the whole pool.
         self.batch_scheduler = BatchScheduler(gpu, backend=backend)
-        self.batched_evaluator = BatchedEvaluator(self.context,
-                                                  evaluator=self.evaluator)
         self.bootstrap_config = bootstrap_config
         self._bootstrapper: Optional[Bootstrapper] = None
 

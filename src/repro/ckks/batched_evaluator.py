@@ -1,36 +1,36 @@
-"""Batched CKKS evaluation: independent operation streams as fused launches.
+"""CKKS evaluation: independent operation streams as fused launches.
 
 The paper's central throughput claim (Section IV-D, Figure 9) is that *B*
 independent ciphertext operations of the same shape can execute as single
 ``(L, B, N)`` tensor launches instead of ``B`` separate kernel sequences.
-:class:`BatchedEvaluator` is that execution model for the functional CKKS
-stack: it takes *streams* of independent HADD / HMULT / CMULT / RESCALE
-operands, groups them by their active prime chain, and executes each group
-with
+:class:`BatchedEvaluator` is that execution model and the only
+implementation of the CKKS operations (paper Algs. 2-6): it takes
+*streams* of independent HADD / HMULT / CMULT / RESCALE / HROTATE
+operands, groups them by their active prime chain, and executes each
+group with
 
 * **one** ``forward_ops``/``inverse_ops`` engine call per transform step —
   a single batched backend GEMM covering every stream and every limb — and
 * **one** backend-funnel mat-mod launch per element-wise step over the
   fused ``(B*L, N)`` residue matrix (tiled per-limb moduli column).
 
-Per-stream bookkeeping (scale tracking, level alignment, domain tags) is
-preserved exactly: results are bit-identical to looping the sequential
-:class:`~repro.ckks.evaluator.Evaluator` over the streams, and the kernel
-counters record the same invocations (fusion is invisible to the
-instrumentation, via :meth:`~repro.kernels.base.KernelCounter.record_batch`).
+A single operation is the ``B = 1`` case; :class:`~repro.ckks.evaluator.
+Evaluator` is that scalar view.  Per-stream bookkeeping (scale tracking,
+level alignment, domain tags) is kept exactly, and the kernel counters
+record one invocation per stream and step (fusion is invisible to the
+instrumentation, via :meth:`~repro.kernels.base.KernelCounter.record_batch`),
+so results and counts do not depend on how the streams were batched.
+The HMULT key switch and the rotation / conjugation paths run through
+:class:`~repro.ckks.batched_keyswitch.BatchedKeySwitcher`.
 
-One deliberate scope note remains: streams whose operands are not all in
-the coefficient domain take the sequential path for that stream (the fused
-NTT needs a uniform domain).  The HMULT key switch and the rotation /
-conjugation paths are fully B-fused through
-:class:`~repro.ckks.batched_keyswitch.BatchedKeySwitcher`: the dnum
-decomposition of every stream stacks into one ``(B, dnum, L, N)`` tensor
-and the whole batch mods up, transforms, inner-products and mods down in
-single launches.
+The transform-based operations (CMULT, HMULT, HROTATE, HCONJ and plaintext
+addition) take coefficient-domain operands only; an evaluation-domain
+stream is rejected with a ``ValueError``.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -56,10 +56,11 @@ from ..rns.poly import PolyDomain, RnsPolynomial
 from .batched_keyswitch import BatchedKeySwitcher
 from .ciphertext import Ciphertext, Plaintext
 from .context import CkksContext
-from .evaluator import Evaluator
 from .keys import RotationKeySet, SwitchKey
 
 __all__ = ["BatchedEvaluator", "stream_signature"]
+
+_RELATIVE_SCALE_TOLERANCE = 1e-6
 
 
 def stream_signature(ciphertext: Ciphertext) -> Tuple:
@@ -79,16 +80,47 @@ def stream_signature(ciphertext: Ciphertext) -> Tuple:
 class BatchedEvaluator:
     """Executes independent streams of CKKS operations as fused batches."""
 
-    def __init__(self, context: CkksContext, *,
-                 evaluator: Optional[Evaluator] = None) -> None:
+    def __init__(self, context: CkksContext) -> None:
         self.context = context
-        #: Sequential evaluator: shared bookkeeping helpers (align, scale
-        #: checks) and the fallback for non-fusable streams.
-        self.evaluator = evaluator if evaluator is not None else Evaluator(context)
-        #: B-fused key switching; shares the sequential switcher's
-        #: ModUp/ModDown caches so no duplicate precomputation exists.
-        self.key_switcher = BatchedKeySwitcher(
-            context, key_switcher=self.evaluator.key_switcher)
+        self.key_switcher = BatchedKeySwitcher(context)
+
+    # ------------------------------------------------------------------
+    # Level and scale bookkeeping (per ciphertext, no kernel launches)
+    # ------------------------------------------------------------------
+    def drop_to_level(self, ciphertext: Ciphertext, level: int) -> Ciphertext:
+        """Reduce a ciphertext to a lower level by dropping RNS limbs."""
+        if level > ciphertext.level:
+            raise ValueError("cannot raise the level of a ciphertext")
+        if level == ciphertext.level:
+            return ciphertext.copy()
+        moduli = self.context.moduli_at_level(level)
+        return Ciphertext(
+            c0=ciphertext.c0.restrict_to(moduli),
+            c1=ciphertext.c1.restrict_to(moduli),
+            scale=ciphertext.scale,
+            level=level,
+        )
+
+    def align(self, lhs: Ciphertext, rhs: Ciphertext):
+        """Bring two ciphertexts to the same (minimum) level."""
+        level = min(lhs.level, rhs.level)
+        return self.drop_to_level(lhs, level), self.drop_to_level(rhs, level)
+
+    @staticmethod
+    def _check_scales(lhs_scale: float, rhs_scale: float) -> None:
+        if not math.isclose(lhs_scale, rhs_scale,
+                            rel_tol=_RELATIVE_SCALE_TOLERANCE):
+            raise ValueError(
+                "scale mismatch (%.3g vs %.3g); rescale before adding" %
+                (lhs_scale, rhs_scale)
+            )
+
+    def _plain_at_level(self, plaintext: Plaintext, level: int) -> RnsPolynomial:
+        """Restrict an encoded plaintext to the ciphertext's active basis."""
+        moduli = self.context.moduli_at_level(level)
+        if tuple(plaintext.polynomial.moduli) == moduli:
+            return plaintext.polynomial
+        return plaintext.polynomial.restrict_to(moduli)
 
     # ------------------------------------------------------------------
     # HADD / subtraction: B independent pairs, one launch per component
@@ -110,8 +142,8 @@ class BatchedEvaluator:
                   kernel: str) -> List[Ciphertext]:
         pairs = []
         for lhs, rhs in self._zipped(lhs_streams, rhs_streams):
-            lhs, rhs = self.evaluator.align(lhs, rhs)
-            self.evaluator._check_scales(lhs.scale, rhs.scale)
+            lhs, rhs = self.align(lhs, rhs)
+            self._check_scales(lhs.scale, rhs.scale)
             self._check_pair_domains(lhs, rhs)
             pairs.append((lhs, rhs))
 
@@ -136,43 +168,36 @@ class BatchedEvaluator:
         return results
 
     def negate(self, ciphertexts: Sequence[Ciphertext]) -> List[Ciphertext]:
-        """Negate every stream.
-
-        Negation is a pure host-side modular map with no kernel launches
-        (the sequential path records nothing either), so there is nothing
-        to fuse; the per-stream map keeps the counters and bits identical
-        by construction.
-        """
-        return [self.evaluator.negate(ciphertext) for ciphertext in ciphertexts]
+        """Negate every stream (a host-side modular map, no kernel launch)."""
+        return [Ciphertext(c0=ct.c0.negate(), c1=ct.c1.negate(),
+                           scale=ct.scale, level=ct.level)
+                for ct in ciphertexts]
 
     def add_plain(self, ciphertexts: Sequence[Ciphertext],
                   plaintexts: Sequence[Plaintext]) -> List[Ciphertext]:
         """Batched plaintext addition: one fused Ele-Add over the c0 stack."""
-        streams = list(self._zipped(ciphertexts, plaintexts))
-        results: List[Optional[Ciphertext]] = [None] * len(streams)
-        fusable: List[Tuple[int, Ciphertext, Plaintext, RnsPolynomial]] = []
-        for i, (ciphertext, plaintext) in enumerate(streams):
-            self.evaluator._check_scales(ciphertext.scale, plaintext.scale)
-            plain_poly = self.evaluator._plain_at_level(plaintext,
-                                                        ciphertext.level)
-            if ciphertext.c0.domain == plain_poly.domain:
-                fusable.append((i, ciphertext, plaintext, plain_poly))
-            else:
-                results[i] = self.evaluator.add_plain(ciphertext, plaintext)
+        streams = []
+        for ciphertext, plaintext in self._zipped(ciphertexts, plaintexts):
+            self._check_scales(ciphertext.scale, plaintext.scale)
+            plain_poly = self._plain_at_level(plaintext, ciphertext.level)
+            self._require_coefficient("add_plain", ciphertext.c0, plain_poly)
+            streams.append((ciphertext, plain_poly))
 
+        results: List[Optional[Ciphertext]] = [None] * len(streams)
         for moduli, indices in self._grouped(
-                entry[1].moduli for entry in fusable).items():
-            entries = [fusable[k] for k in indices]
+                ct.moduli for ct, _ in streams).items():
+            entries = [streams[i] for i in indices]
             batch, limbs = len(entries), len(moduli)
             tiled = self._tiled_moduli(moduli, batch)
-            left = self._stack([entry[1].c0 for entry in entries])
-            right = self._stack([entry[3] for entry in entries])
+            left = self._stack([ct.c0 for ct, _ in entries])
+            right = self._stack([plain for _, plain in entries])
             fused = mat_mod_add(self._fuse(left), self._fuse(right), tiled)
             self._record(KernelName.ELE_ADD, batch, limbs)
             sums = fused.reshape(left.shape)
-            for j, (i, ciphertext, _, _) in enumerate(entries):
+            for j, i in enumerate(indices):
+                ciphertext = streams[i][0]
                 results[i] = Ciphertext(
-                    c0=self._poly(moduli, sums[j], ciphertext.c0.domain),
+                    c0=self._poly(moduli, sums[j]),
                     c1=ciphertext.c1.copy(),
                     scale=ciphertext.scale, level=ciphertext.level,
                 )
@@ -184,27 +209,23 @@ class BatchedEvaluator:
     def multiply_plain(self, ciphertexts: Sequence[Ciphertext],
                        plaintexts: Sequence[Plaintext]) -> List[Ciphertext]:
         """Batched CMULT: multiply each stream by its encoded plaintext."""
-        streams = list(self._zipped(ciphertexts, plaintexts))
-        results: List[Optional[Ciphertext]] = [None] * len(streams)
-        fusable: List[Tuple[int, Ciphertext, Plaintext, RnsPolynomial]] = []
-        for i, (ciphertext, plaintext) in enumerate(streams):
-            plain_poly = self.evaluator._plain_at_level(plaintext, ciphertext.level)
-            if self._all_coefficient(ciphertext.c0, ciphertext.c1, plain_poly):
-                fusable.append((i, ciphertext, plaintext, plain_poly))
-            else:
-                # Mixed-domain stream: the sequential path skips transforms
-                # per domain tag, which a uniform fused launch cannot.
-                results[i] = self.evaluator.multiply_plain(ciphertext, plaintext)
+        streams = []
+        for ciphertext, plaintext in self._zipped(ciphertexts, plaintexts):
+            plain_poly = self._plain_at_level(plaintext, ciphertext.level)
+            self._require_coefficient("multiply_plain", ciphertext.c0,
+                                      ciphertext.c1, plain_poly)
+            streams.append((ciphertext, plaintext, plain_poly))
 
+        results: List[Optional[Ciphertext]] = [None] * len(streams)
         for moduli, indices in self._grouped(
-                entry[1].moduli for entry in fusable).items():
-            entries = [fusable[k] for k in indices]
+                ct.moduli for ct, _, _ in streams).items():
+            entries = [streams[i] for i in indices]
             batch, limbs = len(entries), len(moduli)
             tiled = self._tiled_moduli(moduli, batch)
             stacks = concatenate_arrays([
-                self._stack([entry[1].c0 for entry in entries]),
-                self._stack([entry[1].c1 for entry in entries]),
-                self._stack([entry[3] for entry in entries]),
+                self._stack([ct.c0 for ct, _, _ in entries]),
+                self._stack([ct.c1 for ct, _, _ in entries]),
+                self._stack([plain for _, _, plain in entries]),
             ])
             evals = self.context.planner.forward_ops(
                 self.context.ring_degree, moduli, stacks)
@@ -217,7 +238,8 @@ class BatchedEvaluator:
             coeff = self.context.planner.inverse_ops(
                 self.context.ring_degree, moduli, concatenate_arrays([d0, d1]))
             self._record(KernelName.INTT, 2 * batch, limbs)
-            for j, (i, ciphertext, plaintext, _) in enumerate(entries):
+            for j, i in enumerate(indices):
+                ciphertext, plaintext, _ = streams[i]
                 results[i] = Ciphertext(
                     c0=self._poly(moduli, coeff[j]),
                     c1=self._poly(moduli, coeff[batch + j]),
@@ -232,29 +254,26 @@ class BatchedEvaluator:
     def multiply(self, lhs_streams: Sequence[Ciphertext],
                  rhs_streams: Sequence[Ciphertext],
                  relinearization_key: SwitchKey) -> List[Ciphertext]:
-        """Batched HMULT: fused transforms, per-stream key switching."""
-        streams = list(self._zipped(lhs_streams, rhs_streams))
-        results: List[Optional[Ciphertext]] = [None] * len(streams)
-        fusable: List[Tuple[int, Ciphertext, Ciphertext]] = []
-        for i, (lhs, rhs) in enumerate(streams):
-            aligned_l, aligned_r = self.evaluator.align(lhs, rhs)
-            if self._all_coefficient(aligned_l.c0, aligned_l.c1,
-                                     aligned_r.c0, aligned_r.c1):
-                fusable.append((i, aligned_l, aligned_r))
-            else:
-                results[i] = self.evaluator.multiply(lhs, rhs, relinearization_key)
+        """Batched HMULT: fused transforms and one fused key switch."""
+        pairs = []
+        for lhs, rhs in self._zipped(lhs_streams, rhs_streams):
+            lhs, rhs = self.align(lhs, rhs)
+            self._require_coefficient("multiply", lhs.c0, lhs.c1,
+                                      rhs.c0, rhs.c1)
+            pairs.append((lhs, rhs))
 
+        results: List[Optional[Ciphertext]] = [None] * len(pairs)
         for moduli, indices in self._grouped(
-                entry[1].moduli for entry in fusable).items():
-            entries = [fusable[k] for k in indices]
+                lhs.moduli for lhs, _ in pairs).items():
+            entries = [pairs[i] for i in indices]
             batch, limbs = len(entries), len(moduli)
-            level = entries[0][1].level
+            level = entries[0][0].level
             tiled = self._tiled_moduli(moduli, batch)
             stacks = concatenate_arrays([
-                self._stack([lhs.c0 for _, lhs, _ in entries]),
-                self._stack([lhs.c1 for _, lhs, _ in entries]),
-                self._stack([rhs.c0 for _, _, rhs in entries]),
-                self._stack([rhs.c1 for _, _, rhs in entries]),
+                self._stack([lhs.c0 for lhs, _ in entries]),
+                self._stack([lhs.c1 for lhs, _ in entries]),
+                self._stack([rhs.c0 for _, rhs in entries]),
+                self._stack([rhs.c1 for _, rhs in entries]),
             ])
             evals = self.context.planner.forward_ops(
                 self.context.ring_degree, moduli, stacks)
@@ -289,7 +308,8 @@ class BatchedEvaluator:
                 fused = mat_mod_add(self._fuse(own), self._fuse(key_part), tiled)
                 self._record(KernelName.ELE_ADD, batch, limbs)
                 outputs.append(fused.reshape(own.shape))
-            for j, (i, lhs, rhs) in enumerate(entries):
+            for j, i in enumerate(indices):
+                lhs, rhs = pairs[i]
                 results[i] = Ciphertext(
                     c0=self._poly(moduli, outputs[0][j]),
                     c1=self._poly(moduli, outputs[1][j]),
@@ -358,8 +378,7 @@ class BatchedEvaluator:
         """
         ciphertexts = list(ciphertexts)
         if not ciphertexts:
-            # Match the sequential loop over zero streams, which never
-            # resolves a key: empty in, empty out.
+            # Empty in, empty out, without resolving a key.
             return []
         steps %= self.context.slot_count
         if steps == 0:
@@ -368,8 +387,8 @@ class BatchedEvaluator:
             steps, self.context.ring_degree)
         switch_key = rotation_keys.for_steps(steps)
         return self._apply_galois_many(
-            ciphertexts, galois_element, switch_key, KernelName.FROBENIUS,
-            lambda ct: self.evaluator.rotate(ct, steps, rotation_keys))
+            "rotate", ciphertexts, galois_element, switch_key,
+            KernelName.FROBENIUS)
 
     def conjugate(self, ciphertexts: Sequence[Ciphertext],
                   rotation_keys: RotationKeySet) -> List[Ciphertext]:
@@ -381,30 +400,25 @@ class BatchedEvaluator:
             raise ValueError("rotation key set has no conjugation key")
         galois_element = 2 * self.context.ring_degree - 1
         return self._apply_galois_many(
-            ciphertexts, galois_element, rotation_keys.conjugation_key,
-            KernelName.CONJUGATE,
-            lambda ct: self.evaluator.conjugate(ct, rotation_keys))
+            "conjugate", ciphertexts, galois_element,
+            rotation_keys.conjugation_key, KernelName.CONJUGATE)
 
-    def _apply_galois_many(self, ciphertexts: Sequence[Ciphertext],
+    def _apply_galois_many(self, operation: str,
+                           ciphertexts: Sequence[Ciphertext],
                            galois_element: int, switch_key: SwitchKey,
-                           kernel: str, sequential) -> List[Ciphertext]:
+                           kernel: str) -> List[Ciphertext]:
+        for ciphertext in ciphertexts:
+            self._require_coefficient(operation, ciphertext.c0, ciphertext.c1)
         results: List[Optional[Ciphertext]] = [None] * len(ciphertexts)
-        fusable: List[Tuple[int, Ciphertext]] = []
-        for i, ciphertext in enumerate(ciphertexts):
-            if self._all_coefficient(ciphertext.c0, ciphertext.c1):
-                fusable.append((i, ciphertext))
-            else:
-                results[i] = sequential(ciphertext)
-
         for moduli, indices in self._grouped(
-                entry[1].moduli for entry in fusable).items():
-            entries = [fusable[k] for k in indices]
+                ct.moduli for ct in ciphertexts).items():
+            entries = [ciphertexts[i] for i in indices]
             batch, limbs = len(entries), len(moduli)
-            level = entries[0][1].level
+            level = entries[0].level
             tiled = self._tiled_moduli(moduli, batch)
             stacks = concatenate_arrays([
-                self._stack([ct.c0 for _, ct in entries]),
-                self._stack([ct.c1 for _, ct in entries]),
+                self._stack([ct.c0 for ct in entries]),
+                self._stack([ct.c1 for ct in entries]),
             ])                                            # (2B, L, N)
             column = np.asarray(moduli, dtype=np.int64)[:, None]
             # The automorphism is a host-side index gather (a counted
@@ -420,7 +434,8 @@ class BatchedEvaluator:
                                 self._fuse(key_part), tiled)
             self._record(KernelName.ELE_ADD, batch, limbs)
             summed = fused.reshape(key_part.shape)
-            for j, (i, ciphertext) in enumerate(entries):
+            for j, i in enumerate(indices):
+                ciphertext = ciphertexts[i]
                 results[i] = Ciphertext(
                     c0=self._poly(moduli, summed[j]),
                     c1=switched[j][1],
@@ -481,8 +496,10 @@ class BatchedEvaluator:
         self.context.kernels.counter.record_batch(kernel, operations, limbs)
 
     @staticmethod
-    def _all_coefficient(*polys: RnsPolynomial) -> bool:
-        return all(poly.domain == PolyDomain.COEFFICIENT for poly in polys)
+    def _require_coefficient(operation: str, *polys: RnsPolynomial) -> None:
+        if any(poly.domain != PolyDomain.COEFFICIENT for poly in polys):
+            raise ValueError(
+                "%s expects coefficient-domain operands" % operation)
 
     @staticmethod
     def _check_pair_domains(lhs: Ciphertext, rhs: Ciphertext) -> None:

@@ -19,6 +19,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from ..batched_evaluator import BatchedEvaluator
 from ..ciphertext import Ciphertext, Plaintext
 from ..context import CkksContext
 from ..encryptor import Encryptor
@@ -94,39 +95,11 @@ class BsgsLinearTransform:
     def apply(self, ciphertext: Ciphertext, evaluator: Evaluator,
               encryptor: Encryptor, rotation_keys: RotationKeySet) -> Ciphertext:
         """Evaluate the transform on ``ciphertext`` (one level consumed)."""
-        slot_count = self.context.slot_count
-        # Group diagonals by giant step so each baby-rotated ciphertext is reused.
-        by_giant: Dict[int, Dict[int, np.ndarray]] = {}
-        for offset, diagonal in self.diagonals.items():
-            baby = offset % self.n1
-            giant = offset - baby
-            by_giant.setdefault(giant, {})[baby] = diagonal
-
-        baby_cache: Dict[int, Ciphertext] = {0: ciphertext}
-        accumulator = None
-        for giant in sorted(by_giant):
-            inner = None
-            for baby, diagonal in sorted(by_giant[giant].items()):
-                rotated = baby_cache.get(baby)
-                if rotated is None:
-                    rotated = evaluator.rotate(ciphertext, baby, rotation_keys)
-                    baby_cache[baby] = rotated
-                # Pre-rotate the diagonal by -giant so one giant rotation at
-                # the end of the group suffices (the standard BSGS trick).
-                shifted = np.roll(diagonal, giant % slot_count)
-                plain = encryptor.encode(shifted, scale=self.scale,
-                                         level=rotated.level)
-                term = evaluator.multiply_plain(rotated, plain)
-                inner = term if inner is None else evaluator.add(inner, term)
-            if giant % slot_count:
-                inner = evaluator.rotate(inner, giant % slot_count, rotation_keys)
-            accumulator = inner if accumulator is None else evaluator.add(accumulator, inner)
-        if accumulator is None:
-            raise ValueError("the transform matrix is identically zero")
-        return evaluator.rescale(accumulator)
+        return self.apply_many([ciphertext], evaluator.batched, encryptor,
+                               rotation_keys)[0]
 
     def apply_many(self, ciphertexts: Sequence[Ciphertext],
-                   batched_evaluator, encryptor: Encryptor,
+                   batched_evaluator: BatchedEvaluator, encryptor: Encryptor,
                    rotation_keys: RotationKeySet) -> List[Ciphertext]:
         """Evaluate the transform on ``B`` streams as fused launches.
 
@@ -135,19 +108,16 @@ class BsgsLinearTransform:
         (one automorphism gather plus one B-fused key switch per step),
         every giant-step group's diagonal multiplies are single fused
         CMULT launches, and the giant rotations fuse the same way.  Each
-        shifted diagonal is encoded once per (scale, level) — not once
-        per ciphertext — which is bit-identical to the sequential path
-        because encoding is deterministic.  A single stream delegates to
-        :meth:`apply`; results and kernel counters match the sequential
-        loop exactly.
+        diagonal is pre-rotated by ``-giant`` so one giant rotation at the
+        end of the group suffices (the standard BSGS trick), and each
+        shifted diagonal is encoded once per level, not once per stream
+        (encoding is deterministic, so the plaintexts are identical).
         """
         ciphertexts = list(ciphertexts)
         if not ciphertexts:
             return []
-        if len(ciphertexts) == 1:
-            return [self.apply(ciphertexts[0], batched_evaluator.evaluator,
-                               encryptor, rotation_keys)]
         slot_count = self.context.slot_count
+        # Group diagonals by giant step so each baby-rotated batch is reused.
         by_giant: Dict[int, Dict[int, np.ndarray]] = {}
         for offset, diagonal in self.diagonals.items():
             baby = offset % self.n1

@@ -21,6 +21,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from ..batched_evaluator import BatchedEvaluator
 from ..ciphertext import Ciphertext
 from ..context import CkksContext
 from ..encryptor import Encryptor
@@ -59,15 +60,14 @@ class SlotToCoeff:
     def apply(self, coeff_low: Ciphertext, coeff_high: Ciphertext,
               evaluator: Evaluator, encryptor: Encryptor,
               rotation_keys: RotationKeySet) -> Ciphertext:
-        part0 = self.transform0.apply(coeff_low, evaluator, encryptor, rotation_keys)
-        part1 = self.transform1.apply(coeff_high, evaluator, encryptor, rotation_keys)
-        return evaluator.add(part0, part1)
+        return self.apply_many([coeff_low], [coeff_high], evaluator.batched,
+                               encryptor, rotation_keys)[0]
 
     def apply_many(self, coeff_lows: Sequence[Ciphertext],
-                   coeff_highs: Sequence[Ciphertext], batched_evaluator,
-                   encryptor: Encryptor,
+                   coeff_highs: Sequence[Ciphertext],
+                   batched_evaluator: BatchedEvaluator, encryptor: Encryptor,
                    rotation_keys: RotationKeySet) -> List[Ciphertext]:
-        """Batched :meth:`apply`: two fused BSGS transforms and one HADD."""
+        """``B`` streams: two fused BSGS transforms and one HADD."""
         part0 = self.transform0.apply_many(coeff_lows, batched_evaluator,
                                            encryptor, rotation_keys)
         part1 = self.transform1.apply_many(coeff_highs, batched_evaluator,
@@ -103,21 +103,14 @@ class CoeffToSlot:
     def apply(self, ciphertext: Ciphertext, evaluator: Evaluator,
               encryptor: Encryptor,
               rotation_keys: RotationKeySet) -> Tuple[Ciphertext, Ciphertext]:
-        conjugated = evaluator.conjugate(ciphertext, rotation_keys)
-        low = evaluator.add(
-            self.transform0_direct.apply(ciphertext, evaluator, encryptor, rotation_keys),
-            self.transform0_conj.apply(conjugated, evaluator, encryptor, rotation_keys),
-        )
-        high = evaluator.add(
-            self.transform1_direct.apply(ciphertext, evaluator, encryptor, rotation_keys),
-            self.transform1_conj.apply(conjugated, evaluator, encryptor, rotation_keys),
-        )
-        return low, high
+        return tuple(halves[0] for halves in self.apply_many(
+            [ciphertext], evaluator.batched, encryptor, rotation_keys))
 
-    def apply_many(self, ciphertexts: Sequence[Ciphertext], batched_evaluator,
-                   encryptor: Encryptor, rotation_keys: RotationKeySet
+    def apply_many(self, ciphertexts: Sequence[Ciphertext],
+                   batched_evaluator: BatchedEvaluator, encryptor: Encryptor,
+                   rotation_keys: RotationKeySet
                    ) -> Tuple[List[Ciphertext], List[Ciphertext]]:
-        """Batched :meth:`apply`: one fused HCONJ, four fused BSGS stages."""
+        """``B`` streams: one fused HCONJ, four fused BSGS stages."""
         conjugated = batched_evaluator.conjugate(ciphertexts, rotation_keys)
         lows = batched_evaluator.add(
             self.transform0_direct.apply_many(ciphertexts, batched_evaluator,

@@ -14,12 +14,12 @@ the sine and cosine polynomials over one shared square-and-multiply power
 ladder (:meth:`SineEvaluator.apply_pair`), so the cosine costs only the
 extra even-power terms, not a second ladder.
 
-Every sequential entry point has a ``*_many`` sibling that runs the same
-operation sequence through a
+The ``*_many`` entry points run the operation sequence through a
 :class:`~repro.ckks.batched_evaluator.BatchedEvaluator`, fusing the
 HMULT/CMULT/HADD streams of ``B`` independent ciphertexts into single
-``(B, L, N)`` launches — bit-identical to the per-stream loop, with the
-Taylor coefficients encoded once per level instead of once per stream.
+``(B, L, N)`` launches, with the Taylor coefficients encoded once per
+level instead of once per stream; the single-ciphertext entry points are
+their ``B = 1`` case.
 """
 
 from __future__ import annotations
@@ -99,16 +99,13 @@ class SineEvaluator:
         return max(1, math.ceil(math.log2(max(2, self.degree)))) + 1
 
     # ------------------------------------------------------------------
-    # Sequential evaluation
+    # Single ciphertext: the B = 1 case of the batched evaluation
     # ------------------------------------------------------------------
     def apply(self, ciphertext: Ciphertext, evaluator: Evaluator,
               encryptor: Encryptor, relinearization_key: SwitchKey) -> Ciphertext:
         """Homomorphically evaluate ``p(ct)`` using cached power ciphertexts."""
-        needed = self._needed_terms(self.coefficients)
-        powers = self._build_powers(ciphertext, needed, evaluator,
-                                    relinearization_key)
-        return self._accumulate(self.coefficients, needed, powers,
-                                evaluator, encryptor)
+        return self.apply_many([ciphertext], evaluator.batched, encryptor,
+                               relinearization_key)[0]
 
     def apply_pair(self, ciphertext: Ciphertext, evaluator: Evaluator,
                    encryptor: Encryptor, relinearization_key: SwitchKey):
@@ -116,26 +113,16 @@ class SineEvaluator:
 
         Returns ``(sin_ct, cos_ct)``; requires ``cosine_coefficients``.
         """
-        if self.cosine_coefficients is None:
-            raise ValueError("apply_pair needs cosine_coefficients")
-        needed_sin = self._needed_terms(self.coefficients)
-        needed_cos = self._needed_terms(self.cosine_coefficients)
-        needed = sorted(set(needed_sin) | set(needed_cos))
-        powers = self._build_powers(ciphertext, needed, evaluator,
-                                    relinearization_key)
-        sin_ct = self._accumulate(self.coefficients, needed_sin, powers,
-                                  evaluator, encryptor)
-        cos_ct = self._accumulate(self.cosine_coefficients, needed_cos, powers,
-                                  evaluator, encryptor)
-        return sin_ct, cos_ct
+        return tuple(series[0] for series in self.apply_pair_many(
+            [ciphertext], evaluator.batched, encryptor, relinearization_key))
 
     # ------------------------------------------------------------------
-    # Batched evaluation: the same operation sequence over B fused streams
+    # Batched evaluation: one operation sequence over B fused streams
     # ------------------------------------------------------------------
     def apply_many(self, ciphertexts: Sequence[Ciphertext],
                    batched_evaluator: BatchedEvaluator, encryptor: Encryptor,
                    relinearization_key: SwitchKey) -> List[Ciphertext]:
-        """Batched :meth:`apply`: one fused HMULT/CMULT/HADD stream per step."""
+        """``p(ct)`` for ``B`` streams: one fused HMULT/CMULT/HADD per step."""
         ciphertexts = list(ciphertexts)
         if not ciphertexts:
             return []
@@ -148,9 +135,13 @@ class SineEvaluator:
     def apply_pair_many(self, ciphertexts: Sequence[Ciphertext],
                         batched_evaluator: BatchedEvaluator,
                         encryptor: Encryptor, relinearization_key: SwitchKey):
-        """Batched :meth:`apply_pair`: returns ``(sin_streams, cos_streams)``."""
+        """Sine and cosine series of ``B`` streams over one shared ladder.
+
+        Returns ``(sin_streams, cos_streams)``; requires
+        ``cosine_coefficients``.
+        """
         if self.cosine_coefficients is None:
-            raise ValueError("apply_pair_many needs cosine_coefficients")
+            raise ValueError("apply_pair needs cosine_coefficients")
         ciphertexts = list(ciphertexts)
         if not ciphertexts:
             return [], []
@@ -166,7 +157,7 @@ class SineEvaluator:
         return sin_cts, cos_cts
 
     # ------------------------------------------------------------------
-    # Shared internals
+    # Internals
     # ------------------------------------------------------------------
     @staticmethod
     def _needed_terms(coefficients: Sequence[float]) -> List[int]:
@@ -175,81 +166,11 @@ class SineEvaluator:
             raise ValueError("polynomial has no non-constant terms")
         return needed
 
-    def _build_powers(self, ciphertext: Ciphertext, needed: Sequence[int],
-                      evaluator: Evaluator, relinearization_key) -> Dict[int, Ciphertext]:
-        """Square-and-multiply ladder for every power in ``needed``."""
-        powers = {1: ciphertext}
-        highest = max(needed)
-        power = 1
-        while power * 2 <= highest:
-            powers[power * 2] = evaluator.multiply_and_rescale(
-                powers[power], powers[power], relinearization_key)
-            power *= 2
-        for k in needed:
-            if k not in powers:
-                self._compose_power(k, powers, evaluator, relinearization_key)
-        return powers
-
-    def _accumulate(self, coefficients: Sequence[float], needed: Sequence[int],
-                    powers: Dict[int, Ciphertext], evaluator: Evaluator,
-                    encryptor: Encryptor) -> Ciphertext:
-        accumulator = None
-        for k in needed:
-            coefficient = coefficients[k]
-            base = powers[k]
-            plain = encryptor.encode(
-                np.full(self.context.slot_count, coefficient), scale=base.scale,
-                level=base.level,
-            )
-            term = evaluator.rescale(evaluator.multiply_plain(base, plain))
-            accumulator = term if accumulator is None else self._add_aligned(
-                accumulator, term, evaluator)
-        constant = coefficients[0]
-        if constant:
-            plain = encryptor.encode(
-                np.full(self.context.slot_count, constant), scale=accumulator.scale,
-                level=accumulator.level,
-            )
-            accumulator = evaluator.add_plain(accumulator, plain)
-        return accumulator
-
-    def _compose_power(self, exponent: int, powers, evaluator: Evaluator,
-                       relinearization_key) -> Ciphertext:
-        """Build ``ct**exponent`` from already-computed power ciphertexts."""
-        remaining = exponent
-        parts = []
-        bit = 1
-        while remaining:
-            if remaining & 1:
-                parts.append(powers[bit])
-            remaining >>= 1
-            bit <<= 1
-        result = parts[0]
-        for part in parts[1:]:
-            result = evaluator.multiply_and_rescale(result, part, relinearization_key)
-        powers[exponent] = result
-        return result
-
-    def _add_aligned(self, lhs: Ciphertext, rhs: Ciphertext,
-                     evaluator: Evaluator) -> Ciphertext:
-        """Add two ciphertexts whose scales may differ slightly.
-
-        Power-of-two Taylor terms end up at marginally different scales
-        because the chain primes are only approximately equal to the
-        encoding scale; the difference is absorbed into the result scale,
-        which is the standard approximate-arithmetic treatment.
-        """
-        lhs, rhs = evaluator.align(lhs, rhs)
-        rhs = Ciphertext(rhs.c0, rhs.c1, lhs.scale, rhs.level)
-        return evaluator.add(lhs, rhs)
-
-    # ------------------------------------------------------------------
-    # Batched internals: identical per-stream op sequence, fused launches
-    # ------------------------------------------------------------------
     def _build_powers_many(self, ciphertexts: List[Ciphertext],
                            needed: Sequence[int],
                            batched_evaluator: BatchedEvaluator,
                            relinearization_key) -> Dict[int, List[Ciphertext]]:
+        """Square-and-multiply ladder for every power in ``needed``."""
         powers = {1: ciphertexts}
         highest = max(needed)
         power = 1
@@ -266,6 +187,7 @@ class SineEvaluator:
     def _compose_power_many(self, exponent: int, powers,
                             batched_evaluator: BatchedEvaluator,
                             relinearization_key) -> List[Ciphertext]:
+        """Build ``ct**exponent`` from already-computed power streams."""
         remaining = exponent
         parts = []
         bit = 1
@@ -308,7 +230,7 @@ class SineEvaluator:
         """Encode a constant once per (scale, level), not once per stream.
 
         Encoding is deterministic, so the shared plaintext is bit-identical
-        to the per-stream encodes of the sequential path.
+        to encoding once per stream.
         """
         cache: Dict = {}
         plains = []
@@ -326,11 +248,16 @@ class SineEvaluator:
     def _add_aligned_many(self, lhs_streams: Sequence[Ciphertext],
                           rhs_streams: Sequence[Ciphertext],
                           batched_evaluator: BatchedEvaluator) -> List[Ciphertext]:
-        """Batched :meth:`_add_aligned`: absorb per-stream scale drift."""
-        evaluator = batched_evaluator.evaluator
+        """Add streams whose scales may differ slightly.
+
+        Power-of-two Taylor terms end up at marginally different scales
+        because the chain primes are only approximately equal to the
+        encoding scale; the difference is absorbed into the result scale,
+        which is the standard approximate-arithmetic treatment.
+        """
         aligned_lhs, aligned_rhs = [], []
         for lhs, rhs in zip(lhs_streams, rhs_streams):
-            lhs, rhs = evaluator.align(lhs, rhs)
+            lhs, rhs = batched_evaluator.align(lhs, rhs)
             aligned_lhs.append(lhs)
             aligned_rhs.append(Ciphertext(rhs.c0, rhs.c1, lhs.scale, rhs.level))
         return batched_evaluator.add(aligned_lhs, aligned_rhs)

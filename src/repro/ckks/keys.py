@@ -67,10 +67,6 @@ class SwitchKeyLevel:
         if len(self.group_moduli) != len(self.pairs):
             raise ValueError("one (b, a) pair per decomposition group is required")
 
-    @property
-    def group_count(self) -> int:
-        return len(self.pairs)
-
 
 @dataclass
 class SwitchKey:

@@ -1,11 +1,11 @@
 """Batched bootstrapping: bit-parity, counter invariance, fewer launches.
 
 :meth:`~repro.ckks.bootstrap.Bootstrapper.bootstrap_many` must be
-*bit-identical* to looping the sequential pipeline over the streams, with
-the kernel counters recording exactly the same invocations and
-limb-vectors — while issuing strictly fewer NTT-planner launches.  The
-suite sweeps every available compute backend and B ∈ {1, 2, 8} on the
-shallow bootstrap facade, checks the B == 1 delegation and mixed-message
+*bit-identical* to looping the single-ciphertext pipeline (its B=1 case)
+over the streams, with the kernel counters recording exactly the same
+invocations and limb-vectors — while issuing strictly fewer NTT-planner
+launches.  The suite sweeps every available compute backend and
+B ∈ {1, 2, 8} on the shallow bootstrap facade, checks mixed-message
 batches, and runs the accurate (degree-7, five double angles)
 configuration end-to-end once for functional correctness.
 """
@@ -15,7 +15,7 @@ import pytest
 
 from repro.api import TensorFheContext
 from repro.backend import available_backends, use_backend
-from repro.ckks.bootstrap import BootstrapConfig, Bootstrapper
+from repro.ckks.bootstrap import BootstrapConfig
 from repro.ckks.params import CkksParameters
 
 BATCH_SIZES = (1, 2, 8)
@@ -121,22 +121,6 @@ class TestBatchedBootstrapBookkeeping:
     def test_empty_batch(self, fhe):
         assert batched_bootstrap(fhe, []) == []
         assert fhe.bootstrap_many([]) == []
-
-    def test_single_stream_delegates_to_sequential(self, fhe, rng,
-                                                   monkeypatch):
-        """B == 1 must run the sequential pipeline, not stacked launches."""
-        _, streams = exhausted_streams(fhe, rng, 1)
-        seen = []
-        original = Bootstrapper.bootstrap
-
-        def spying(self, ciphertext, evaluator, *args, **kwargs):
-            seen.append(evaluator)
-            return original(self, ciphertext, evaluator, *args, **kwargs)
-
-        monkeypatch.setattr(Bootstrapper, "bootstrap", spying)
-        [refreshed] = batched_bootstrap(fhe, streams)
-        assert seen == [fhe.evaluator]
-        assert refreshed.c0.residues.shape[0] == refreshed.level + 1
 
     def test_mixed_real_and_complex_messages(self, fhe, rng):
         """Streams carrying unrelated real/complex payloads still fuse."""

@@ -1,7 +1,8 @@
-"""Batched-vs-sequential parity for the multi-ciphertext evaluator.
+"""Batch-size parity for the multi-ciphertext evaluator.
 
-``BatchedEvaluator`` must be *bit-identical* to looping the sequential
-``Evaluator`` over the streams — residues, scales, levels, domains — and
+``BatchedEvaluator`` must be *bit-identical* to looping the
+single-ciphertext ``Evaluator`` (its B=1 case) over the streams —
+residues, scales, levels, domains — and
 the kernel counters must record exactly the same invocations and
 limb-vectors (fusion is invisible to the instrumentation).  The suite runs
 the fused HADD / CMULT / HMULT / RESCALE paths across every available
@@ -119,11 +120,11 @@ class TestBookkeeping:
             lambda: fhe.batched_evaluator.add(lhs, mixed_rhs),
         )
 
-    def test_evaluation_domain_stream_falls_back(self, fhe, streams, rng):
-        """A stream with evaluation-domain operands still computes correctly."""
+    def test_evaluation_domain_stream_rejected(self, fhe, streams, rng):
+        """Transform-based ops reject an evaluation-domain stream outright."""
         from repro.kernels import ops as kernel_ops
 
-        lhs, _ = streams
+        lhs, rhs = streams
         eval_ct = lhs[0].copy()
         eval_ct.c0 = kernel_ops.ntt(fhe.context.kernels, eval_ct.c0)
         eval_ct.c1 = kernel_ops.ntt(fhe.context.kernels, eval_ct.c1)
@@ -133,12 +134,23 @@ class TestBookkeeping:
                                  level=ciphertext.level)
             for ciphertext in ciphertexts
         ]
-        run_both(
-            fhe,
-            lambda: [fhe.evaluator.multiply_plain(c, p)
-                     for c, p in zip(ciphertexts, plaintexts)],
-            lambda: fhe.batched_evaluator.multiply_plain(ciphertexts, plaintexts),
-        )
+        batched, keys = fhe.batched_evaluator, fhe.rotation_keys
+        calls = {
+            "multiply_plain": lambda: batched.multiply_plain(ciphertexts,
+                                                             plaintexts),
+            "multiply": lambda: batched.multiply(ciphertexts, rhs,
+                                                 fhe.relinearization_key),
+            "rotate": lambda: batched.rotate(ciphertexts, 1, keys),
+            "conjugate": lambda: batched.conjugate(ciphertexts, keys),
+            "add_plain": lambda: batched.add_plain(ciphertexts, plaintexts),
+        }
+        for name, call in calls.items():
+            with pytest.raises(ValueError,
+                               match=name + " expects coefficient-domain"):
+                call()
+        # The scalar API is the B=1 case and rejects the same way.
+        with pytest.raises(ValueError, match="coefficient-domain"):
+            fhe.evaluator.multiply_plain(eval_ct, plaintexts[0])
 
     def test_scale_mismatch_rejected(self, fhe, streams):
         lhs, rhs = streams

@@ -1,19 +1,18 @@
 """B-fused key switching: bit-parity, counter invariance, fewer launches.
 
 The fused HMULT / rotation / conjugation paths must be *bit-identical* to
-looping the sequential :class:`~repro.ckks.evaluator.Evaluator` over the
-streams, with the kernel counters recording exactly the same invocations
-and limb-vectors — while issuing strictly fewer NTT-planner launches.  The
-suite sweeps every available compute backend and B ∈ {1, 2, 8}, plus mixed
-levels and the degenerate-batch guarantees (no stacked temporaries for
-B == 1, no extra keys for zero-step rotations).
+looping the single-ciphertext :class:`~repro.ckks.evaluator.Evaluator`
+(the B=1 case) over the streams, with the kernel counters recording
+exactly the same invocations and limb-vectors — while issuing strictly
+fewer NTT-planner launches.  The suite sweeps every available compute
+backend and B ∈ {1, 2, 8}, plus mixed levels and the degenerate-batch
+guarantees (empty batches, no extra keys for zero-step rotations).
 """
 
 import numpy as np
 import pytest
 
 from repro.backend import available_backends, use_backend
-from repro.rns.modup import ModUp
 
 BATCH_SIZES = (1, 2, 8)
 
@@ -244,30 +243,6 @@ class TestDegenerateBatches:
         empty_keys = RotationKeySet()
         assert fhe.batched_evaluator.rotate([], 7, empty_keys) == []
         assert fhe.batched_evaluator.conjugate([], empty_keys) == []
-
-    def test_single_stream_takes_sequential_switch(self, fhe, rng,
-                                                   monkeypatch):
-        """B == 1 must not stack (B, dnum, L, N) temporaries."""
-        ciphertext = encrypt_streams(fhe, rng, 1)[0]
-        switcher = fhe.batched_evaluator.key_switcher
-        sequential_calls = []
-        original = switcher.key_switcher.switch
-
-        def spying_switch(*args, **kwargs):
-            sequential_calls.append(args)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(switcher.key_switcher, "switch", spying_switch)
-
-        def no_batch(self, stacks):   # pragma: no cover - must not run
-            raise AssertionError("B==1 must not reach the batched ModUp")
-
-        monkeypatch.setattr(ModUp, "apply_batch", no_batch)
-        result = switcher.switch_many([ciphertext.c1],
-                                      fhe.relinearization_key,
-                                      ciphertext.level)
-        assert len(result) == 1
-        assert len(sequential_calls) == 1
 
     def test_zero_step_rotation_copies_without_keys(self, fhe, rng):
         streams = encrypt_streams(fhe, rng, 2)

@@ -183,6 +183,33 @@ class TestRequestValidation:
         got = bundle.decryptor.decrypt_real(rotated)
         np.testing.assert_allclose(got, np.roll(values, -step), atol=0.3)
 
+    async def test_evaluation_domain_operand_is_request_scoped(self, fhe, serve,
+                                                               rng):
+        from repro.kernels import ops as kernel_ops
+
+        engine = serve()
+        registry = engine.registry
+        bundle = registry.register("alice", rotation_steps=(1,))
+        values = rng.uniform(-1, 1, fhe.slot_count)
+        good = _encrypt(registry, "alice", values)
+        bad = good.copy()
+        bad.c0 = kernel_ops.ntt(fhe.context.kernels, bad.c0)
+        bad.c1 = kernel_ops.ntt(fhe.context.kernels, bad.c1)
+        async with engine:
+            refused, rotated = await asyncio.gather(
+                engine.rotate("alice", bad, 1),
+                engine.rotate("alice", good, 1),
+                return_exceptions=True)
+        assert isinstance(refused, ValueError)
+        assert "coefficient-domain" in str(refused)
+        got = bundle.decryptor.decrypt_real(rotated)
+        np.testing.assert_allclose(got, np.roll(values, -1), atol=0.3)
+        assert engine.health.total_failures == 0
+        assert engine.health.available
+        requests = engine.diagnostics()["requests"]
+        assert requests["request_errors"] == 1
+        assert requests["executor_failures"] == 0
+
 
 class TestLifecycle:
     async def test_stop_drains_queued_work(self, fhe, serve, rng):
