@@ -416,15 +416,14 @@ class BatchedEvaluator:
             batch, limbs = len(entries), len(moduli)
             level = entries[0].level
             tiled = self._tiled_moduli(moduli, batch)
-            stacks = concatenate_arrays([
-                self._stack([ct.c0 for ct in entries]),
-                self._stack([ct.c1 for ct in entries]),
-            ])                                            # (2B, L, N)
             column = np.asarray(moduli, dtype=np.int64)[:, None]
             # The automorphism is a host-side index gather (a counted
-            # staging point for device-resident streams).
-            rotated = apply_automorphism_coeff(as_ndarray(stacks),
-                                               galois_element, column)
+            # staging point for device-resident streams) over the stacked
+            # (2B, L, N) components.
+            rotated = apply_automorphism_coeff(
+                as_ndarray(self._stack([ct.c0 for ct in entries]
+                                       + [ct.c1 for ct in entries])),
+                galois_element, column)
             self._record(kernel, 2 * batch, limbs)
             switched = self.key_switcher.switch_many(
                 [self._poly(moduli, rotated[batch + j]) for j in range(batch)],
