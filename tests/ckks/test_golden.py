@@ -13,7 +13,12 @@ that commit (the sequential ``Evaluator`` / ``KeySwitcher`` /
 ``Bootstrapper.bootstrap`` implementation), with::
 
     PYTHONPATH=src:tests/ckks python -c "import pprint, test_golden as g; \\
-        pprint.pprint(g.measure_table(batch=1), width=100)"
+        pprint.pprint(g.measure_table(batch=1), width=70)"
+
+(the output indented under ``GOLDEN = ``).  The client-boundary rows,
+``decrypt`` (the float64 bytes of the decrypted slots) and
+``encrypt_symmetric``, were added at commit 03c33b9 with the same
+command; every older row reproduced unchanged there.
 
 Each case builds its own freshly seeded context, keys and inputs, so the
 digests depend on nothing but the parameters and seeds below.
@@ -155,6 +160,34 @@ def _bootstrap_probe(case: Case) -> Probe:
                      cts, fhe.batched_evaluator, *keys))
 
 
+def _decrypt_probe(case: Case) -> Probe:
+    """``decrypt_to_slots`` of each ``lhs`` stream and of its product."""
+    fhe = case.fhe
+    products = [fhe.evaluator.multiply(lhs, rhs, fhe.relinearization_key)
+                for lhs, rhs in zip(case.lhs, case.rhs)]
+    return Probe(list(zip(case.lhs, products)),
+                 lambda ct, product: np.concatenate(
+                     [fhe.decrypt(ct), fhe.decrypt(product)]),
+                 None)
+
+
+def _encrypt_symmetric_probe(case: Case) -> Probe:
+    """``Encryptor.encrypt_symmetric`` of ``STREAMS`` seeded slot vectors."""
+    fhe = case.fhe
+    rng = np.random.default_rng(77)
+    vectors = [rng.uniform(-1.0, 1.0, fhe.slot_count) for _ in range(STREAMS)]
+    # A fresh sampler, so the digest does not depend on which probes ran
+    # first against the shared case.
+    fhe.context.rng = np.random.default_rng(77)
+    return Probe([(vector,) for vector in vectors],
+                 fhe.encryptor.encrypt_symmetric, None)
+
+
+# The client boundary has no fused twin.
+_decrypt_probe.fused = _encrypt_symmetric_probe.fused = False
+_CLIENT = {"decrypt": _decrypt_probe,
+           "encrypt_symmetric": _encrypt_symmetric_probe}
+
 _OPS = {
     "add": _evaluator_probe("add", lambda c: (c.lhs, c.rhs)),
     "add_mixed_level": _evaluator_probe(
@@ -186,10 +219,10 @@ CASES: Dict[str, Callable[[], Case]] = {
 }
 PROBES: Dict[str, Dict[str, Callable[[Case], Probe]]] = {
     "toy": {**_OPS, **{"switch@%d" % level: _switch_probe(level)
-                       for level in range(3)}},
+                       for level in range(3)}, **_CLIENT},
     "bootstrap": {**{"switch@%d" % level: _switch_probe(level)
                      for level in range(8)},
-                  "bootstrap": _bootstrap_probe},
+                  "bootstrap": _bootstrap_probe, **_CLIENT},
 }
 
 
@@ -197,9 +230,15 @@ PROBES: Dict[str, Dict[str, Callable[[Case], Probe]]] = {
 # Measurement
 # ----------------------------------------------------------------------
 def digest(outputs: Sequence) -> str:
-    """SHA-256 of residues, moduli, domains, scales and levels, in order."""
+    """SHA-256 of residues, moduli, domains, scales and levels, in order.
+
+    Decrypted slot vectors contribute the bytes of their float64 parts.
+    """
     sha = hashlib.sha256()
     for output in outputs:
+        if isinstance(output, np.ndarray):
+            sha.update(np.ascontiguousarray(output, dtype="<c16").tobytes())
+            continue
         if isinstance(output, Ciphertext):
             sha.update(repr((float(output.scale).hex(), output.level)).encode())
             polys = (output.c0, output.c1)
@@ -240,7 +279,7 @@ def measure_table(batch: int = 1) -> Dict[str, Dict[str, Tuple]]:
 
 
 # ----------------------------------------------------------------------
-# The pinned table (generated at 426842a; see the module docstring)
+# The pinned table (generated at 426842a and 03c33b9; see the docstring)
 # ----------------------------------------------------------------------
 GOLDEN = {'bootstrap': {'bootstrap': ('13ac5d46bc97ebd03f05ad0fbb33a32720d2e3743b7ece24fd2337c7961a0826',
                                       {'Conjugate': 16,
@@ -259,6 +298,12 @@ GOLDEN = {'bootstrap': {'bootstrap': ('13ac5d46bc97ebd03f05ad0fbb33a32720d2e3743
                                        'Hada-Mult': 50656,
                                        'INTT': 28880,
                                        'NTT': 45104}),
+                        'decrypt': ('0f528ab99af9d27b08e7dc5eee45b5f98488bba8d14b21278780597fdf283939',
+                                    {},
+                                    {}),
+                        'encrypt_symmetric': ('6cc876c49557c4eb943099c74543e6ebcbb67d3aef310347bc64ac00d2436707',
+                                              {},
+                                              {}),
                         'switch@0': ('9d2a8664325c781219fe5a3c2c2d4debd67d98a2099e5caefc20a4c20f577854',
                                      {'Conv': 16,
                                       'Ele-Add': 16,
@@ -369,6 +414,12 @@ GOLDEN = {'bootstrap': {'bootstrap': ('13ac5d46bc97ebd03f05ad0fbb33a32720d2e3743
                                  'Hada-Mult': 192,
                                  'INTT': 64,
                                  'NTT': 96}),
+                  'decrypt': ('82c74cea2caf8953e06d793f88fab8bec58030ef0df97e120b3987cdfea0689a',
+                              {},
+                              {}),
+                  'encrypt_symmetric': ('a27003b6fbc0f3f7d8f776dcb902c3117d1e2ab81b91d251faabc2e1b1e1932f',
+                                        {},
+                                        {}),
                   'multiply': ('d9b060991e13058fce3e216cddf2d993a7c99e5c815d9e7dc264bb63a97a00fb',
                                {'Conv': 32,
                                 'Ele-Add': 72,
