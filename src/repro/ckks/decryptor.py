@@ -2,14 +2,20 @@
 
 ``Decryptor.decrypt`` computes ``c0 + c1*s`` over the ciphertext's active
 basis and returns a coefficient-domain plaintext; ``decrypt_to_slots``
-additionally CRT-recombines the residues into centred integers and decodes
-them back into complex slot values.
+additionally CRT-recombines the residues into centred integers (one
+vectorised Garner pass, :mod:`repro.numtheory.crt`) and decodes them back
+into complex slot values.  The secret's NTT is the
+:class:`~repro.ckks.keys.SecretKey` cache, gathered to the ciphertext's
+primes, so a decryption runs two transforms rather than three.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from ..numtheory.crt import crt_context
 from .ciphertext import Ciphertext, Plaintext
 from .context import CkksContext
 from .keys import SecretKey
@@ -28,7 +34,7 @@ class Decryptor:
         """Return the underlying plaintext polynomial ``c0 + c1*s``."""
         planner = self.context.planner
         moduli = ciphertext.moduli
-        secret_eval = self.secret_key.as_polynomial(moduli).to_evaluation(planner)
+        secret_eval = self.secret_key.in_evaluation(self.context, moduli)
         c1_eval = ciphertext.c1.to_evaluation(planner)
         product = c1_eval.hadamard(secret_eval).to_coefficient(planner)
         message = ciphertext.c0.add(product)
@@ -52,10 +58,9 @@ class Decryptor:
         Not a formal noise bound, but useful in tests and examples to
         observe the level/noise budget shrinking as operations are applied.
         """
-        import math
-
-        plaintext = self.decrypt(ciphertext)
-        coefficients = plaintext.polynomial.to_integers(centered=True)
-        magnitude = max(abs(int(c)) for c in coefficients) or 1
+        polynomial = self.decrypt(ciphertext).polynomial
+        coefficients = crt_context(polynomial.moduli).compose_values(
+            polynomial.residues)
+        magnitude = int(np.abs(coefficients).max()) or 1
         modulus = self.context.modulus_at_level(ciphertext.level)
         return float(math.log2(modulus) - math.log2(magnitude))

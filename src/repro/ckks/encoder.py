@@ -42,7 +42,8 @@ class CkksEncoder:
 
         Shorter inputs are zero-padded; longer inputs are rejected.  The
         returned array contains signed integers (the caller reduces them
-        into whatever RNS basis it needs).
+        into whatever RNS basis it needs): int64 when every coefficient
+        fits, an object array otherwise.
         """
         scale = self.parameters.scale if scale is None else float(scale)
         slots = np.zeros(self.slot_count, dtype=np.complex128)
@@ -59,12 +60,16 @@ class CkksEncoder:
         spectrum[self.conjugate_exponents] = np.conj(slots) * scale
         # m_k = (1/N) * sum_a spectrum[a] * exp(-2*pi*i*a*k / 2N)
         coefficients = np.fft.fft(spectrum)[: self.ring_degree] / self.ring_degree
-        return np.round(coefficients.real).astype(object)
+        rounded = np.round(coefficients.real)
+        if np.all(np.abs(rounded) < 2.0 ** 63):
+            return rounded.astype(np.int64)
+        return rounded.astype(object)
 
     def decode(self, coefficients: Sequence[int], scale: Optional[float] = None) -> np.ndarray:
         """Decode integer coefficients back into a complex slot vector."""
         scale = self.parameters.scale if scale is None else float(scale)
-        coefficients = np.asarray([float(c) for c in coefficients], dtype=np.float64)
+        # Rounds exactly like float(int), for int64 and big-int inputs alike.
+        coefficients = np.asarray(coefficients, dtype=np.float64)
         if coefficients.size != self.ring_degree:
             raise ValueError(
                 "expected %d coefficients, got %d" % (self.ring_degree, coefficients.size)

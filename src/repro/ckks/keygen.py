@@ -16,7 +16,6 @@ from typing import Iterable, List, Sequence, Tuple
 import numpy as np
 
 from ..kernels.automorphism import apply_automorphism_coeff, galois_element_for_rotation
-from ..numtheory.crt import CrtContext
 from ..numtheory.modular import mod_inverse
 from ..rns.poly import PolyDomain, RnsPolynomial
 from .context import CkksContext
@@ -56,7 +55,7 @@ class KeyGenerator:
         n = self.context.ring_degree
         a = RnsPolynomial.random_uniform(n, moduli, self._rng,
                                          domain=PolyDomain.EVALUATION)
-        s_eval = secret_key.as_polynomial(moduli).to_evaluation(planner)
+        s_eval = secret_key.in_evaluation(self.context, moduli)
         error = RnsPolynomial.random_gaussian(
             n, moduli, self._rng, stddev=self.context.parameters.error_std
         ).to_evaluation(planner)
@@ -141,7 +140,7 @@ class KeyGenerator:
         for prime in active:
             active_product *= prime
 
-        s_eval = secret_key.as_polynomial(extended).to_evaluation(planner)
+        s_eval = secret_key.in_evaluation(context, extended)
         source_eval = source_key_mod(extended).to_evaluation(planner)
 
         pairs: List[Tuple[RnsPolynomial, RnsPolynomial]] = []
@@ -151,10 +150,8 @@ class KeyGenerator:
             for prime in group:
                 group_product *= prime
             complement = active_product // group_product
-            # t = complement^{-1} mod each group prime, CRT-composed.
-            group_crt = CrtContext(group)
-            inverses = [mod_inverse(complement % q, q) for q in group]
-            t_value = group_crt.compose(inverses)
+            # t = complement^{-1} mod each group prime, i.e. mod their product.
+            t_value = mod_inverse(complement, group_product)
             factors = []
             for prime in extended:
                 factor = (special_product % prime) * (complement % prime) % prime
@@ -177,9 +174,8 @@ class KeyGenerator:
         context = self.context
 
         def build(moduli: Sequence[int]) -> RnsPolynomial:
-            planner = context.planner
-            s_eval = secret_key.as_polynomial(moduli).to_evaluation(planner)
-            return s_eval.hadamard(s_eval).to_coefficient(planner)
+            s_eval = secret_key.in_evaluation(context, moduli)
+            return s_eval.hadamard(s_eval).to_coefficient(context.planner)
 
         return build
 

@@ -25,6 +25,9 @@ class SecretKey:
     """The ternary secret ``s`` as signed integer coefficients."""
 
     coefficients: np.ndarray
+    #: One NTT of ``s`` over a context's full ``Q ∪ P`` basis.
+    _evaluation: Optional[RnsPolynomial] = field(default=None, init=False,
+                                                  repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.coefficients = np.asarray(self.coefficients, dtype=np.int64)
@@ -36,6 +39,14 @@ class SecretKey:
     def as_polynomial(self, moduli: Sequence[int]) -> RnsPolynomial:
         """Reduce the signed coefficients into the given RNS basis."""
         return RnsPolynomial.from_integers(self.coefficients, moduli, self.ring_degree)
+
+    def in_evaluation(self, context, moduli: Sequence[int]) -> RnsPolynomial:
+        """NTT of ``s`` over ``moduli``: rows of the cached full-basis NTT
+        (exact, as the transform runs limb by limb)."""
+        full = context.extended_moduli_at_level(context.max_level)
+        if self._evaluation is None or self._evaluation.moduli != full:
+            self._evaluation = self.as_polynomial(full).to_evaluation(context.planner)
+        return self._evaluation.restrict_to(moduli)
 
     @property
     def hamming_weight(self) -> int:

@@ -36,7 +36,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from ..backend.residency import DeviceBuffer
-from ..numtheory.crt import CrtContext
+from ..numtheory.crt import crt_context
 from ..numtheory.modular import (
     mat_mod_add,
     mat_mod_mul,
@@ -157,21 +157,23 @@ class RnsPolynomial:
 
         The whole residue matrix is produced by one broadcast reduction of
         the coefficient vector against the ``(limbs, 1)`` moduli column.
-        Arbitrary-precision coefficients (larger than int64) take an exact
-        object-dtype path.
+        Integer ndarrays and float ndarrays below 2**63 reduce as int64
+        without per-element Python; anything else, such as
+        arbitrary-precision coefficients, takes an exact object path.
         """
-        coefficients = [int(c) for c in coefficients]
-        ring_degree = len(coefficients) if ring_degree is None else ring_degree
-        if len(coefficients) != ring_degree:
+        values = coefficients
+        if isinstance(values, np.ndarray) and values.ndim == 1 and (
+                values.dtype.kind in "bi" or values.dtype.kind == "f"
+                and np.all(np.abs(values) < 2.0 ** 63)):
+            values = values.astype(np.int64)        # floats truncate like int()
+        else:
+            values = np.asarray([int(c) for c in coefficients], dtype=object)
+        ring_degree = len(values) if ring_degree is None else ring_degree
+        if len(values) != ring_degree:
             raise ValueError("coefficient count does not match ring degree")
         moduli = tuple(int(q) for q in moduli)
         column = np.asarray(moduli, dtype=np.int64)[:, None]
-        int64_min, int64_max = -(1 << 63), (1 << 63) - 1
-        if all(int64_min <= c <= int64_max for c in coefficients):
-            residues = np.asarray(coefficients, dtype=np.int64)[None, :] % column
-        else:
-            wide = np.asarray(coefficients, dtype=object)[None, :] % column
-            residues = np.asarray(wide, dtype=np.int64)
+        residues = np.asarray(values[None, :] % column, dtype=np.int64)
         return cls(ring_degree, moduli, residues)
 
     @classmethod
@@ -232,8 +234,8 @@ class RnsPolynomial:
     def to_integers(self, *, centered: bool = True) -> list:
         """CRT-recombine into big-integer coefficients (coefficient domain only)."""
         self._require_domain(PolyDomain.COEFFICIENT)
-        crt = CrtContext(self.moduli)
-        return crt.compose_array(self.residues, centered=centered)
+        return crt_context(self.moduli).compose_array(self.residues,
+                                                      centered=centered)
 
     # ------------------------------------------------------------------
     # Arithmetic (domain- and basis-checked, single 2-D launches)
