@@ -113,8 +113,9 @@ class ServingEngine:
         self.registry = (registry if registry is not None
                          else KeyRegistry(fhe.context, keygen=fhe._keygen))
         self.scheduler = scheduler if scheduler is not None else fhe.batch_scheduler
-        #: The batch executor; replaceable for fault injection in tests.
-        self._executor = executor if executor is not None else self._run_op
+        #: An injected batch executor (fault injection), else None for
+        #: _run_op; storing the bound method would be a reference cycle.
+        self._executor = executor
         self._queue: Deque[OpRequest] = deque()
         self._work = asyncio.Event()
         self._worker_task: Optional[asyncio.Task] = None
@@ -361,7 +362,7 @@ class ServingEngine:
         """Run one coalesced chunk and settle its futures and health."""
         tenants = {request.tenant for request in chunk}
         try:
-            results = self._executor(chunk[0].op, chunk)
+            results = (self._executor or self._run_op)(chunk[0].op, chunk)
         except _REQUEST_ERRORS as exc:
             # Bad operands fail their own group only; executor health is
             # not implicated, but booked probe slots must come back.

@@ -7,10 +7,14 @@ every result decrypting correctly.
 """
 
 import asyncio
+import gc
+import weakref
 
 import numpy as np
 import pytest
 
+from repro.api import TensorFheContext
+from repro.ckks import CkksParameters
 from repro.serving import (
     EngineStopped,
     OpName,
@@ -249,6 +253,27 @@ class TestLifecycle:
             assert engine.running
             await engine.add("alice", lhs, rhs)
         assert not engine.running
+
+
+    async def test_closed_engine_releases_its_context(self, rng):
+        """Without the cyclic collector, dropping a closed engine frees fhe."""
+        parameters = CkksParameters(ring_degree=1 << 4, level_count=2,
+                                    dnum=2, secret_hamming_weight=4)
+        fhe = TensorFheContext(parameters, seed=9, rotation_steps=())
+        context = weakref.ref(fhe.context)
+        lhs = fhe.encrypt(rng.uniform(-1, 1, fhe.slot_count))
+        gc.collect()
+        gc.disable()
+        try:
+            engine = fhe.create_serving_engine()
+            engine.registry.register("alice")
+            async with engine:
+                await engine.add("alice", lhs, lhs)
+            await asyncio.sleep(0)      # the loop lets go of the old worker
+            del engine, fhe, lhs
+            assert context() is None
+        finally:
+            gc.enable()
 
 
 class TestDiagnostics:
