@@ -25,13 +25,16 @@ The HMULT key switch and the rotation / conjugation paths run through
 
 The transform-based operations (CMULT, HMULT, HROTATE, HCONJ and plaintext
 addition) take coefficient-domain operands only; an evaluation-domain
-stream is rejected with a ``ValueError``.
+stream is rejected with a ``ValueError``.  The one exception is the
+weights of :meth:`BatchedEvaluator.multiply_plain_accumulate`, the fused
+CMULT-and-sum of the BSGS transforms: they are precomputed plaintexts in
+the evaluation domain, so each term costs no transform of its own.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -246,6 +249,97 @@ class BatchedEvaluator:
                     scale=ciphertext.scale * plaintext.scale,
                     level=ciphertext.level,
                 )
+        return results
+
+    def multiply_plain_accumulate(
+            self, inputs: Iterable[Sequence[Ciphertext]],
+            weights: Mapping[Tuple[int, ...],
+                             Sequence[Sequence[Optional[Plaintext]]]]
+    ) -> List[List[Ciphertext]]:
+        """Fused CMULT-and-sum: ``out[g] = sum_k inputs[k] * W[k][g]``.
+
+        ``inputs`` yields ``K`` lists of the same ``B`` streams (for
+        example successive rotations of one batch); it is consumed one
+        entry at a time, so a generator keeps only one entry alive.
+        ``weights[moduli][k][g]`` is an evaluation-domain plaintext on
+        that prime chain, or None for a zero term.  Each input is
+        forward-transformed once (one ``(2B, L, N)`` launch per chain);
+        the products accumulate in the evaluation domain, and one inverse
+        launch per chain returns all ``G`` sums.  The results are those
+        of ``multiply_plain`` followed by ``add`` per term, bit for bit,
+        because the transform is linear and exact; the counters record
+        one Hada-Mult per term and one Ele-Add per term after a sum's
+        first.
+        """
+        chains = None
+        sums: Dict[Tuple[int, ...], Dict[int, object]] = {}
+        scales: Dict[int, float] = {}
+        for row, streams in enumerate(inputs):
+            streams = list(streams)
+            for ciphertext in streams:
+                self._require_coefficient("multiply_plain_accumulate",
+                                          ciphertext.c0, ciphertext.c1)
+            if chains is None:
+                first, chains = streams, [ct.moduli for ct in streams]
+                groups = self._grouped(chains)
+            elif [ct.moduli for ct in streams] != chains:
+                raise ValueError("every input must carry the same prime chains")
+            for moduli, indices in groups.items():
+                batch, limbs = len(indices), len(moduli)
+                tiled = self._tiled_moduli(moduli, 2 * batch)
+                evals = self._fuse(self.context.planner.forward_ops(
+                    self.context.ring_degree, moduli,
+                    self._stack([streams[i].c0 for i in indices]
+                                + [streams[i].c1 for i in indices])))
+                self._record(KernelName.NTT, 2 * batch, limbs)
+                chain_sums = sums.setdefault(moduli, {})
+                for column, plain in enumerate(weights[moduli][row]):
+                    if plain is None:
+                        continue
+                    if (plain.polynomial.domain != PolyDomain.EVALUATION
+                            or plain.polynomial.moduli != moduli):
+                        raise ValueError(
+                            "weights must be evaluation-domain plaintexts "
+                            "on the streams' prime chain")
+                    self._check_scales(scales.setdefault(column, plain.scale),
+                                       plain.scale)
+                    # The weight repeats per operand: a transient copy.
+                    weight = np.broadcast_to(
+                        plain.polynomial.residues,
+                        (2 * batch, limbs, self.context.ring_degree))
+                    product = mat_mod_mul(evals, self._fuse(weight), tiled)
+                    self._record(KernelName.HADAMARD, 2 * batch, limbs)
+                    if column in chain_sums:
+                        product = mat_mod_add(chain_sums[column], product,
+                                              tiled)
+                        self._record(KernelName.ELE_ADD, 2 * batch, limbs)
+                    chain_sums[column] = product
+        if chains is None:
+            return []
+        count = len(scales)
+        if sorted(scales) != list(range(count)):
+            raise ValueError("every output needs at least one weight")
+
+        results = [[None] * len(chains) for _ in range(count)]
+        for moduli, indices in groups.items():
+            batch, limbs = len(indices), len(moduli)
+            chain_sums = sums[moduli]
+            if len(chain_sums) != count:
+                raise ValueError("every output needs a weight on every chain")
+            coeff = self.context.planner.inverse_ops(
+                self.context.ring_degree, moduli, concatenate_arrays(
+                    [chain_sums[column].reshape(2 * batch, limbs, -1)
+                     for column in range(count)]))
+            self._record(KernelName.INTT, 2 * batch * count, limbs)
+            for column in range(count):
+                base = 2 * batch * column
+                for j, i in enumerate(indices):
+                    results[column][i] = Ciphertext(
+                        c0=self._poly(moduli, coeff[base + j]),
+                        c1=self._poly(moduli, coeff[base + batch + j]),
+                        scale=first[i].scale * scales[column],
+                        level=first[i].level,
+                    )
         return results
 
     # ------------------------------------------------------------------

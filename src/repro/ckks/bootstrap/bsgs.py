@@ -15,10 +15,12 @@ paper cites for the homomorphic DFT [14, 59].
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ...backend.residency import as_ndarray, stack_arrays
+from ...rns.poly import PolyDomain, RnsPolynomial
 from ..batched_evaluator import BatchedEvaluator
 from ..ciphertext import Ciphertext, Plaintext
 from ..context import CkksContext
@@ -35,9 +37,10 @@ def matrix_diagonals(matrix: np.ndarray) -> Dict[int, np.ndarray]:
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError("BSGS transform requires a square matrix")
     n = matrix.shape[0]
+    rows = np.arange(n)
     diagonals: Dict[int, np.ndarray] = {}
     for offset in range(n):
-        diagonal = np.array([matrix[i, (i + offset) % n] for i in range(n)])
+        diagonal = matrix[rows, (rows + offset) % n]
         if np.any(diagonal != 0):
             diagonals[offset] = diagonal
     return diagonals
@@ -77,6 +80,12 @@ class BsgsLinearTransform:
         self.scale = context.scale if scale is None else scale
         self.diagonals = matrix_diagonals(self.matrix)
         self.n1, self.n2 = bsgs_step_counts(context.slot_count)
+        self._babies = sorted({offset % self.n1 for offset in self.diagonals})
+        self._giants = sorted({offset - offset % self.n1
+                               for offset in self.diagonals})
+        # Evaluation-domain diagonal tables, one per prime chain.
+        self._weights: Dict[Tuple[int, ...],
+                            List[List[Optional[Plaintext]]]] = {}
 
     # ------------------------------------------------------------------
     def rotation_steps(self) -> List[int]:
@@ -103,65 +112,70 @@ class BsgsLinearTransform:
                    rotation_keys: RotationKeySet) -> List[Ciphertext]:
         """Evaluate the transform on ``B`` streams as fused launches.
 
-        The baby-step rotations run through
+        Each baby-step rotation runs through
         :meth:`~repro.ckks.batched_evaluator.BatchedEvaluator.rotate`
-        (one automorphism gather plus one B-fused key switch per step),
-        every giant-step group's diagonal multiplies are single fused
-        CMULT launches, and the giant rotations fuse the same way.  Each
-        diagonal is pre-rotated by ``-giant`` so one giant rotation at the
-        end of the group suffices (the standard BSGS trick), and each
-        shifted diagonal is encoded once per level, not once per stream
-        (encoding is deterministic, so the plaintexts are identical).
+        (one automorphism gather plus one B-fused key switch per step)
+        and is forward-transformed once; every diagonal term is then one
+        Hada-Mult against the cached evaluation-domain diagonal, summed
+        per giant step in the evaluation domain
+        (:meth:`~repro.ckks.batched_evaluator.BatchedEvaluator.
+        multiply_plain_accumulate`), and one inverse launch returns every
+        giant group's sum.  Each diagonal is pre-rotated by ``-giant`` so
+        one giant rotation per group suffices (the standard BSGS trick,
+        with the evaluation-domain accumulation of Halevi and Shoup).
         """
         ciphertexts = list(ciphertexts)
         if not ciphertexts:
             return []
+        if not self.diagonals:
+            raise ValueError("the transform matrix is identically zero")
+        weights = {ct.moduli: self._evaluation_diagonals(ct.level, encryptor)
+                   for ct in ciphertexts}
+        babies = (batched_evaluator.rotate(ciphertexts, baby, rotation_keys)
+                  if baby else ciphertexts for baby in self._babies)
+        sums = batched_evaluator.multiply_plain_accumulate(babies, weights)
         slot_count = self.context.slot_count
-        # Group diagonals by giant step so each baby-rotated batch is reused.
-        by_giant: Dict[int, Dict[int, np.ndarray]] = {}
-        for offset, diagonal in self.diagonals.items():
-            baby = offset % self.n1
-            giant = offset - baby
-            by_giant.setdefault(giant, {})[baby] = diagonal
-
-        baby_cache: Dict[int, List[Ciphertext]] = {0: ciphertexts}
         accumulator = None
-        for giant in sorted(by_giant):
-            inner = None
-            for baby, diagonal in sorted(by_giant[giant].items()):
-                rotated = baby_cache.get(baby)
-                if rotated is None:
-                    rotated = batched_evaluator.rotate(ciphertexts, baby,
-                                                       rotation_keys)
-                    baby_cache[baby] = rotated
-                shifted = np.roll(diagonal, giant % slot_count)
-                plains = self._encode_per_level(shifted, rotated, encryptor)
-                terms = batched_evaluator.multiply_plain(rotated, plains)
-                inner = terms if inner is None else batched_evaluator.add(
-                    inner, terms)
+        for giant, inner in zip(self._giants, sums):
             if giant % slot_count:
                 inner = batched_evaluator.rotate(inner, giant % slot_count,
                                                  rotation_keys)
             accumulator = inner if accumulator is None else \
                 batched_evaluator.add(accumulator, inner)
-        if accumulator is None:
-            raise ValueError("the transform matrix is identically zero")
         return batched_evaluator.rescale(accumulator)
 
-    def _encode_per_level(self, shifted: np.ndarray,
-                          ciphertexts: Sequence[Ciphertext],
-                          encryptor: Encryptor) -> List[Plaintext]:
-        """One deterministic encode per distinct stream level."""
-        cache: Dict[int, object] = {}
-        plains = []
-        for ciphertext in ciphertexts:
-            plain = cache.get(ciphertext.level)
-            if plain is None:
-                plain = encryptor.encode(shifted, scale=self.scale,
-                                         level=ciphertext.level)
-                cache[ciphertext.level] = plain
-            plains.append(plain)
-        return plains
+    def _evaluation_diagonals(self, level: int, encryptor: Encryptor
+                              ) -> List[List[Optional[Plaintext]]]:
+        """The ``babies x giants`` table of shifted diagonals in NTT form.
+
+        Built once per prime chain: each diagonal pre-rotated by its giant
+        step is encoded at ``level`` and all of them are forward-transformed
+        in one launch.  This is a plaintext precompute, like key material,
+        so the kernel counters do not record it.
+        """
+        moduli = self.context.moduli_at_level(level)
+        table = self._weights.get(moduli)
+        if table is not None:
+            return table
+        slot_count = self.context.slot_count
+        terms = [(baby, giant, encryptor.encode(
+                      np.roll(self.diagonals[giant + baby], giant % slot_count),
+                      scale=self.scale, level=level))
+                 for giant in self._giants for baby in self._babies
+                 if giant + baby in self.diagonals]
+        evaluated = as_ndarray(self.context.planner.forward_ops(
+            self.context.ring_degree, moduli,
+            stack_arrays([plain.polynomial.buffer for _, _, plain in terms])))
+        rows = {baby: row for row, baby in enumerate(self._babies)}
+        columns = {giant: column for column, giant in enumerate(self._giants)}
+        table = [[None] * len(self._giants) for _ in self._babies]
+        for (baby, giant, plain), residues in zip(terms, evaluated):
+            table[rows[baby]][columns[giant]] = Plaintext(
+                polynomial=RnsPolynomial(self.context.ring_degree, moduli,
+                                         residues, PolyDomain.EVALUATION),
+                scale=plain.scale, level=level)
+        self._weights[moduli] = table
+        return table
 
     def reference(self, values: Sequence[complex]) -> np.ndarray:
         """Plaintext evaluation of the same transform (test oracle)."""

@@ -17,7 +17,8 @@ import pytest
 from repro.api import TensorFheContext
 from repro.backend import available_backends, use_backend
 from repro.ckks import CkksParameters
-from repro.ckks.bootstrap import BsgsLinearTransform
+from repro.ckks.bootstrap import BsgsLinearTransform, matrix_diagonals
+from repro.ckks.ciphertext import Ciphertext, Plaintext
 
 #: Diagonals zeroed in the test matrix, so some giant groups lack some
 #: babies (the giant-0 group lacks baby 0, the giant-8 group baby 1, the
@@ -102,6 +103,27 @@ def counted(fhe, call):
     return dict(counts.invocations), dict(counts.limb_vectors)
 
 
+def test_matrix_diagonals_match_the_definition():
+    """``diag_d[i] = M[i, (i + d) % n]``, zero diagonals skipped, in
+    offset order and in the matrix's dtype."""
+    n = 16
+    rng = np.random.default_rng(8)
+    matrix = rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n))
+    rows = np.arange(n)
+    for offset in (0, 5, 15):
+        matrix[rows, (rows + offset) % n] = 0
+    expected = {}
+    for offset in range(n):
+        diagonal = np.array([matrix[i, (i + offset) % n] for i in range(n)])
+        if np.any(diagonal != 0):
+            expected[offset] = diagonal
+    diagonals = matrix_diagonals(matrix)
+    assert list(diagonals) == list(expected)
+    for offset, diagonal in expected.items():
+        assert diagonals[offset].dtype == diagonal.dtype
+        assert np.array_equal(diagonals[offset], diagonal)
+
+
 @pytest.mark.parametrize("backend", available_backends())
 @pytest.mark.parametrize("batch", (1, 3))
 def test_apply_many_matches_the_per_diagonal_oracle(fhe, backend, batch):
@@ -142,3 +164,74 @@ def test_counts_do_not_depend_on_which_path_runs_first(fhe):
     fused_second = counted(fhe, lambda: fused(fhe, second, streams))
     assert fused_first == fused_second
     assert oracle_first == oracle_second
+
+
+def test_one_transform_per_baby_and_per_giant(fhe):
+    """Per stream, the fused path forward-transforms each baby rotation
+    once and inverse-transforms each giant sum once; the oracle pays
+    three forward and two inverse transforms per diagonal.  Every other
+    kernel count is the oracle's."""
+    streams = mixed_level_streams(fhe, 2)
+    transform = make_transform(fhe)
+    fused_counts, _ = counted(fhe, lambda: fused(fhe, transform, streams))
+    oracle_counts, _ = counted(fhe, lambda: oracle(fhe, transform, streams))
+    diagonals = len(transform.diagonals)
+    babies = len({offset % transform.n1 for offset in transform.diagonals})
+    giants = len({offset // transform.n1 for offset in transform.diagonals})
+    per_stream = len(streams)
+    assert oracle_counts["NTT"] - fused_counts["NTT"] == \
+        per_stream * (3 * diagonals - 2 * babies)
+    assert oracle_counts["INTT"] - fused_counts["INTT"] == \
+        per_stream * (2 * diagonals - 2 * giants)
+    for kernel in set(oracle_counts) - {"NTT", "INTT"}:
+        assert fused_counts[kernel] == oracle_counts[kernel]
+
+
+def in_evaluation_domain(fhe, plain):
+    return Plaintext(
+        polynomial=plain.polynomial.to_evaluation(fhe.context.planner),
+        scale=plain.scale, level=plain.level)
+
+
+class TestMultiplyPlainAccumulate:
+    def test_empty_inputs(self, fhe):
+        assert fhe.batched_evaluator.multiply_plain_accumulate(
+            iter(()), {}) == []
+
+    def test_matches_multiply_plain(self, fhe):
+        ct = fhe.encrypt(np.ones(fhe.slot_count))
+        plain = fhe.encryptor.encode(np.full(fhe.slot_count, 0.5),
+                                     level=ct.level)
+        [[got]] = fhe.batched_evaluator.multiply_plain_accumulate(
+            [[ct]], {ct.moduli: [[in_evaluation_domain(fhe, plain)]]})
+        [want] = fhe.batched_evaluator.multiply_plain([ct], [plain])
+        assert np.array_equal(got.c0.residues, want.c0.residues)
+        assert np.array_equal(got.c1.residues, want.c1.residues)
+        assert (got.scale, got.level) == (want.scale, want.level)
+
+    def test_coefficient_domain_weights_rejected(self, fhe):
+        ct = fhe.encrypt(np.ones(fhe.slot_count))
+        plain = fhe.encryptor.encode(np.ones(fhe.slot_count), level=ct.level)
+        with pytest.raises(ValueError, match="evaluation-domain"):
+            fhe.batched_evaluator.multiply_plain_accumulate(
+                [[ct]], {ct.moduli: [[plain]]})
+
+    def test_evaluation_domain_inputs_rejected(self, fhe):
+        ct = fhe.encrypt(np.ones(fhe.slot_count))
+        plain = fhe.encryptor.encode(np.ones(fhe.slot_count), level=ct.level)
+        planner = fhe.context.planner
+        evaluated = Ciphertext(c0=ct.c0.to_evaluation(planner),
+                               c1=ct.c1.to_evaluation(planner),
+                               scale=ct.scale, level=ct.level)
+        with pytest.raises(ValueError, match="coefficient-domain"):
+            fhe.batched_evaluator.multiply_plain_accumulate(
+                [[evaluated]], {ct.moduli: [[in_evaluation_domain(fhe, plain)]]})
+
+    def test_inputs_on_different_chains_rejected(self, fhe):
+        ct = fhe.encrypt(np.ones(fhe.slot_count))
+        lower = fhe.evaluator.drop_to_level(ct, ct.level - 1)
+        plain = fhe.encryptor.encode(np.ones(fhe.slot_count), level=ct.level)
+        weights = {ct.moduli: [[in_evaluation_domain(fhe, plain)]] * 2}
+        with pytest.raises(ValueError, match="same prime chains"):
+            fhe.batched_evaluator.multiply_plain_accumulate(
+                [[ct], [lower]], weights)

@@ -18,7 +18,11 @@ that commit (the sequential ``Evaluator`` / ``KeySwitcher`` /
 (the output indented under ``GOLDEN = ``).  The client-boundary rows,
 ``decrypt`` (the float64 bytes of the decrypted slots) and
 ``encrypt_symmetric``, were added at commit 03c33b9 with the same
-command; every older row reproduced unchanged there.
+command; every older row reproduced unchanged there.  The ``bootstrap``
+row's NTT and INTT counts were regenerated with the same command when
+the BSGS transforms moved their diagonal sums into the evaluation domain
+(one forward transform per baby step, one inverse per giant step); every
+digest and every other count reproduced unchanged.
 
 Each case builds its own freshly seeded context, keys and inputs, so the
 digests depend on nothing but the parameters and seeds below.
@@ -288,16 +292,16 @@ GOLDEN = {'bootstrap': {'bootstrap': ('13ac5d46bc97ebd03f05ad0fbb33a32720d2e3743
                                        'Ele-Sub': 352,
                                        'FrobeniusMap': 960,
                                        'Hada-Mult': 6752,
-                                       'INTT': 4496,
-                                       'NTT': 6704},
+                                       'INTT': 1808,
+                                       'NTT': 2864},
                                       {'Conjugate': 128,
                                        'Conv': 18384,
                                        'Ele-Add': 52704,
                                        'Ele-Sub': 1568,
                                        'FrobeniusMap': 5760,
                                        'Hada-Mult': 50656,
-                                       'INTT': 28880,
-                                       'NTT': 45104}),
+                                       'INTT': 12752,
+                                       'NTT': 22064}),
                         'decrypt': ('0f528ab99af9d27b08e7dc5eee45b5f98488bba8d14b21278780597fdf283939',
                                     {},
                                     {}),
