@@ -314,17 +314,14 @@ class BatchedEvaluator:
                                               tiled)
                         self._record(KernelName.ELE_ADD, 2 * batch, limbs)
                     chain_sums[column] = product
-        if chains is None:
+        if not scales:
             return []
         count = len(scales)
-        if sorted(scales) != list(range(count)):
-            raise ValueError("every output needs at least one weight")
-
         results = [[None] * len(chains) for _ in range(count)]
         for moduli, indices in groups.items():
             batch, limbs = len(indices), len(moduli)
             chain_sums = sums[moduli]
-            if len(chain_sums) != count:
+            if sorted(chain_sums) != list(range(count)):
                 raise ValueError("every output needs a weight on every chain")
             coeff = self.context.planner.inverse_ops(
                 self.context.ring_degree, moduli, concatenate_arrays(

@@ -158,19 +158,18 @@ class BsgsLinearTransform:
         if table is not None:
             return table
         slot_count = self.context.slot_count
-        terms = [(baby, giant, encryptor.encode(
+        terms = [(row, column, encryptor.encode(
                       np.roll(self.diagonals[giant + baby], giant % slot_count),
                       scale=self.scale, level=level))
-                 for giant in self._giants for baby in self._babies
+                 for column, giant in enumerate(self._giants)
+                 for row, baby in enumerate(self._babies)
                  if giant + baby in self.diagonals]
         evaluated = as_ndarray(self.context.planner.forward_ops(
             self.context.ring_degree, moduli,
             stack_arrays([plain.polynomial.buffer for _, _, plain in terms])))
-        rows = {baby: row for row, baby in enumerate(self._babies)}
-        columns = {giant: column for column, giant in enumerate(self._giants)}
         table = [[None] * len(self._giants) for _ in self._babies]
-        for (baby, giant, plain), residues in zip(terms, evaluated):
-            table[rows[baby]][columns[giant]] = Plaintext(
+        for (row, column, plain), residues in zip(terms, evaluated):
+            table[row][column] = Plaintext(
                 polynomial=RnsPolynomial(self.context.ring_degree, moduli,
                                          residues, PolyDomain.EVALUATION),
                 scale=plain.scale, level=level)

@@ -235,3 +235,10 @@ class TestMultiplyPlainAccumulate:
         with pytest.raises(ValueError, match="same prime chains"):
             fhe.batched_evaluator.multiply_plain_accumulate(
                 [[ct], [lower]], weights)
+
+    def test_output_without_weights_rejected(self, fhe):
+        ct = fhe.encrypt(np.ones(fhe.slot_count))
+        plain = fhe.encryptor.encode(np.ones(fhe.slot_count), level=ct.level)
+        weights = {ct.moduli: [[None, in_evaluation_domain(fhe, plain)]]}
+        with pytest.raises(ValueError, match="every output"):
+            fhe.batched_evaluator.multiply_plain_accumulate([[ct]], weights)
